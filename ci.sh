@@ -46,6 +46,9 @@
 #                the determinism gate additionally diffs the smoke
 #                result between --shards 1 and --shards 2 (wall-clock
 #                fields excluded) — placement must never change winners
+#   perfbench    the repo benchmark (perfbench/, its own workspace) builds
+#                against the current library crates and its unit tests
+#                pass, so an API change cannot break it unseen
 #
 # Per-gate wall seconds are printed at the end and written to
 # results/ci_timing.txt (the workflow uploads it as an artifact).
@@ -172,7 +175,11 @@ gate_synth() {
     ./target/release/trace_check results/BENCH_synth.trace.json
 }
 
-ALL_GATES="build fmt clippy test determinism trace serve planner drift fleet crash store shard synth"
+gate_perfbench() {
+    CARGO_TARGET_DIR=.bench_build cargo test -q --manifest-path perfbench/Cargo.toml
+}
+
+ALL_GATES="build fmt clippy test determinism trace serve planner drift fleet crash store shard synth perfbench"
 TIMING=()
 
 run_gate() {

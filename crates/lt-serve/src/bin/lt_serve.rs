@@ -5,31 +5,51 @@
 //! lt-serve [--addr HOST:PORT] [--workers N] [--queue N] [--conns N]
 //!          [--wal-dir DIR] [--shard-id N]
 //! lt-serve --coordinator --shard ID=HOST:PORT [--shard ID=HOST:PORT ...]
-//!          [--addr HOST:PORT]
+//!          [--addr HOST:PORT] [--queue N] [--conns N]
 //! ```
 //!
-//! Server flags override the `LT_SERVE_ADDR` / `LT_SERVE_WORKERS` /
-//! `LT_SERVE_QUEUE` / `LT_SERVE_CONNS` / `LT_WAL_DIR` / `LT_SHARD_ID`
-//! environment variables, which override the defaults (127.0.0.1:7878,
-//! 2 workers, queue depth 64, 64 connections, no durability). With
-//! `--wal-dir` the daemon keeps a write-ahead session log in
-//! `DIR/sessions.wal` and recovers acknowledged sessions from it on
-//! startup. `--shard-id` gives the daemon a shard identity: `/shard/*`
-//! control routes and a labelled `/metrics`.
+//! This binary is the only place daemon configuration is read. Defaults:
+//! 127.0.0.1:7878 (coordinator 127.0.0.1:7879), 2 workers, queue depth 64,
+//! 64 connections, no durability. A zero, non-numeric or out-of-range
+//! value exits with status 2, like an unknown flag. With `--wal-dir` the
+//! daemon keeps a write-ahead session log in `DIR/sessions.wal` and
+//! recovers acknowledged sessions from it on startup. `--shard-id` gives
+//! the daemon a shard identity: `/shard/*` control routes and a labelled
+//! `/metrics`.
 //!
 //! With `--coordinator` the daemon instead fronts the listed shards:
 //! global admission (fleet-wide quotas answering 429 + `Retry-After`),
 //! consistent-hash routing of new sessions, per-session proxying, health
-//! probing and aggregated `/metrics`. Coordinator knobs come from
-//! `LT_SHARD_VNODES`, `LT_SHARD_PROBE_MS`, `LT_SERVE_TENANT_CAP` and
-//! `LT_SERVE_QUEUE` (see `CoordinatorConfig`). Stop either mode with
-//! `POST /shutdown` or Ctrl-C.
+//! probing and aggregated `/metrics`. `--conns` caps its connections,
+//! `--queue` × shard count bounds the fleet backlog, and two environment
+//! variables tune the fabric: `LT_SHARD_VNODES` (virtual nodes per shard,
+//! default 64) and `LT_SHARD_PROBE_MS` (health-probe cadence, default
+//! 500). Stop either mode with `POST /shutdown` or Ctrl-C.
 
+use lt_serve::coord::DEFAULT_PROBE_MS;
+use lt_serve::ring::DEFAULT_VNODES;
 use lt_serve::{CoordinatorConfig, ServerConfig, ShardSpec};
 
 fn bad_usage(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
+}
+
+/// Parses a count that must be at least 1 and fit a `usize`.
+fn positive(name: &str, value: &str) -> usize {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => bad_usage(&format!("{name} must be a positive integer, got {value:?}")),
+    }
+}
+
+/// A positive count from the environment, or `default` when unset.
+fn positive_env(name: &str, default: usize) -> usize {
+    match std::env::var(name) {
+        Ok(value) => positive(name, &value),
+        Err(std::env::VarError::NotPresent) => default,
+        Err(_) => bad_usage(&format!("{name} is not valid UTF-8")),
+    }
 }
 
 fn parse_shard(spec: &str) -> ShardSpec {
@@ -45,16 +65,18 @@ fn parse_shard(spec: &str) -> ShardSpec {
     ShardSpec { id, addr }
 }
 
-fn run_coordinator(addr: Option<String>, shards: Vec<ShardSpec>) {
+fn run_coordinator(server: &ServerConfig, addr: Option<String>, shards: Vec<ShardSpec>) {
     if shards.is_empty() {
         bad_usage("--coordinator needs at least one --shard ID=HOST:PORT");
     }
     let mut config = CoordinatorConfig::new(shards);
-    config.addr = addr.unwrap_or_else(|| {
-        std::env::var("LT_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7879".to_string())
-    });
+    config.addr = addr.unwrap_or_else(|| "127.0.0.1:7879".to_string());
+    config.vnodes = positive_env("LT_SHARD_VNODES", DEFAULT_VNODES);
+    config.probe_ms = positive_env("LT_SHARD_PROBE_MS", DEFAULT_PROBE_MS as usize) as u64;
+    config.max_active = server.queue_depth.saturating_mul(config.shards.len());
     let shard_count = config.shards.len();
-    let mut coordinator = match lt_serve::start_coordinator(config.clone()) {
+    let mut coordinator = match lt_serve::start_coordinator(config.clone(), server.max_connections)
+    {
         Ok(handle) => handle,
         Err(err) => {
             eprintln!("error: cannot start coordinator on {}: {err}", config.addr);
@@ -74,12 +96,12 @@ fn run_coordinator(addr: Option<String>, shards: Vec<ShardSpec>) {
 }
 
 fn main() {
-    let mut config = ServerConfig::from_env();
-    if config.addr == "127.0.0.1:0" {
+    let mut config = ServerConfig {
         // The daemon wants a knowable default port; tests and the load
         // generator (which construct ServerConfig directly) keep port 0.
-        config.addr = "127.0.0.1:7878".to_string();
-    }
+        addr: "127.0.0.1:7878".to_string(),
+        ..ServerConfig::default()
+    };
     let mut coordinator = false;
     let mut coordinator_addr: Option<String> = None;
     let mut shards: Vec<ShardSpec> = Vec::new();
@@ -98,35 +120,25 @@ fn main() {
                 coordinator_addr = Some(addr.clone());
                 config.addr = addr;
             }
-            "--workers" => {
-                config.workers = value("--workers")
-                    .parse()
-                    .unwrap_or_else(|_| bad_usage("--workers must be a positive integer"))
-            }
-            "--queue" => {
-                config.queue_depth = value("--queue")
-                    .parse()
-                    .unwrap_or_else(|_| bad_usage("--queue must be a positive integer"))
-            }
-            "--conns" => {
-                config.max_connections = value("--conns")
-                    .parse()
-                    .unwrap_or_else(|_| bad_usage("--conns must be a positive integer"))
-            }
+            "--workers" => config.workers = positive("--workers", &value("--workers")),
+            "--queue" => config.queue_depth = positive("--queue", &value("--queue")),
+            "--conns" => config.max_connections = positive("--conns", &value("--conns")),
             "--wal-dir" => config.wal_dir = Some(value("--wal-dir")),
             "--shard-id" => {
-                config.shard_id = Some(
-                    value("--shard-id")
-                        .parse()
-                        .unwrap_or_else(|_| bad_usage("--shard-id must be an integer")),
-                )
+                let id = value("--shard-id");
+                config.shard_id = Some(id.trim().parse().unwrap_or_else(|_| {
+                    bad_usage(&format!(
+                        "--shard-id must be an integer in 0..={}, got {id:?}",
+                        u32::MAX
+                    ))
+                }))
             }
             "--help" | "-h" => {
                 println!(
                     "usage: lt-serve [--addr HOST:PORT] [--workers N] [--queue N] [--conns N] \
                      [--wal-dir DIR] [--shard-id N]\n\
                      \x20      lt-serve --coordinator --shard ID=HOST:PORT [--shard ...] \
-                     [--addr HOST:PORT]"
+                     [--addr HOST:PORT] [--queue N] [--conns N]"
                 );
                 return;
             }
@@ -135,7 +147,7 @@ fn main() {
     }
 
     if coordinator {
-        run_coordinator(coordinator_addr, shards);
+        run_coordinator(&config, coordinator_addr, shards);
         return;
     }
     if !shards.is_empty() {

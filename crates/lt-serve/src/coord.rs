@@ -36,20 +36,21 @@
 //! decides *where* it runs. Same session id + seed ⇒ byte-identical
 //! winner at any shard count or placement.
 
-use crate::http::{read_request, request_with, Connection, Request, Response};
-use crate::ring::HashRing;
+use crate::http::{method_not_allowed, request_with, Connection, Request, Response, Shutdown};
+use crate::lock;
+use crate::ring::{HashRing, DEFAULT_VNODES};
 use lt_common::json::Value;
 use lt_common::obs::Snapshot;
 use lt_common::{json, obs};
 use std::collections::{HashMap, HashSet};
-use std::io::{self};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Default health-probe cadence (`LT_SHARD_PROBE_MS`).
+/// Default health-probe cadence.
 pub const DEFAULT_PROBE_MS: u64 = 500;
 
 /// One shard as the coordinator sees it.
@@ -69,38 +70,28 @@ pub struct CoordinatorConfig {
     pub addr: String,
     /// The shard fleet. Must be non-empty.
     pub shards: Vec<ShardSpec>,
-    /// Virtual nodes per shard on the ring (`LT_SHARD_VNODES`, default 64).
+    /// Virtual nodes per shard on the ring (default [`DEFAULT_VNODES`]).
     pub vnodes: usize,
-    /// Health-probe cadence in ms (`LT_SHARD_PROBE_MS`, default 500).
+    /// Health-probe cadence in ms (default [`DEFAULT_PROBE_MS`]).
     pub probe_ms: u64,
-    /// Fleet-wide cap on one tenant's non-terminal sessions
-    /// (`LT_SERVE_TENANT_CAP`, default 64) — the global half of the
-    /// admission split; shards no longer need their own tenant caps when
-    /// fronted by a coordinator.
+    /// Fleet-wide cap on one tenant's non-terminal sessions (default 64) —
+    /// the global half of the admission split; shards no longer need their
+    /// own tenant caps when fronted by a coordinator.
     pub tenant_cap: usize,
-    /// Fleet-wide cap on total non-terminal sessions (`LT_SERVE_QUEUE` ×
-    /// shard count by default): the global backlog bound answering 429.
+    /// Fleet-wide cap on total non-terminal sessions (64 × shard count by
+    /// default): the global backlog bound answering 429.
     pub max_active: usize,
 }
 
 impl CoordinatorConfig {
-    /// Defaults for `shards`, with env overrides for the knobs.
+    /// Defaults for `shards`.
     pub fn new(shards: Vec<ShardSpec>) -> CoordinatorConfig {
-        let usize_env = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-        };
-        let queue = usize_env("LT_SERVE_QUEUE").unwrap_or(64);
         CoordinatorConfig {
             addr: "127.0.0.1:0".to_string(),
-            vnodes: HashRing::from_env_vnodes(),
-            probe_ms: usize_env("LT_SHARD_PROBE_MS")
-                .map(|v| v as u64)
-                .unwrap_or(DEFAULT_PROBE_MS),
-            tenant_cap: usize_env("LT_SERVE_TENANT_CAP").unwrap_or(64),
-            max_active: queue * shards.len().max(1),
+            vnodes: DEFAULT_VNODES,
+            probe_ms: DEFAULT_PROBE_MS,
+            tenant_cap: 64,
+            max_active: 64 * shards.len().max(1),
             shards,
         }
     }
@@ -121,8 +112,6 @@ struct CoordState {
     /// show a terminal state.
     active: Mutex<HashMap<String, HashSet<u64>>>,
     next_id: AtomicU64,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
     tenant_cap: usize,
     max_active: usize,
     probe_ms: u64,
@@ -165,36 +154,26 @@ impl CoordState {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// A running coordinator. Dropping it (or [`CoordinatorHandle::shutdown`])
 /// stops the accept loop and the probe thread; shards are independent
 /// processes and are *not* shut down — they belong to whoever spawned them.
 pub struct CoordinatorHandle {
-    addr: SocketAddr,
-    state: Arc<CoordState>,
-    accept_thread: Option<JoinHandle<()>>,
+    http: crate::http::Server,
     probe_thread: Option<JoinHandle<()>>,
 }
 
 impl CoordinatorHandle {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// Blocks until someone stops the coordinator (`POST /shutdown`),
     /// then joins the service threads. The daemon's main-thread park.
     pub fn wait(&mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.http.wait();
+        // The accept loop exits only once the shared stop switch is set,
+        // which the probe loop observes too.
         if let Some(t) = self.probe_thread.take() {
             let _ = t.join();
         }
@@ -202,14 +181,8 @@ impl CoordinatorHandle {
 
     /// Stops accepting and joins the service threads. Idempotent.
     pub fn shutdown(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.probe_thread.take() {
-            let _ = t.join();
-        }
+        self.http.shutdown_switch().request();
+        self.wait();
     }
 }
 
@@ -220,7 +193,12 @@ impl Drop for CoordinatorHandle {
 }
 
 /// Binds the coordinator, starts the probe loop, returns immediately.
-pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHandle> {
+/// `max_connections` caps concurrent client connections exactly as
+/// [`crate::ServerConfig::max_connections`] does for a shard.
+pub fn start_coordinator(
+    config: CoordinatorConfig,
+    max_connections: usize,
+) -> io::Result<CoordinatorHandle> {
     if config.shards.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -229,7 +207,6 @@ pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHan
     }
     obs::set_enabled(true);
     let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
     let ids: Vec<u32> = config.shards.iter().map(|s| s.id).collect();
     let state = Arc::new(CoordState {
         ring: HashRing::new(&ids, config.vnodes),
@@ -242,78 +219,33 @@ pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHan
         placements: Mutex::new(HashMap::new()),
         active: Mutex::new(HashMap::new()),
         next_id: AtomicU64::new(1),
-        shutdown: AtomicBool::new(false),
-        addr,
         tenant_cap: config.tenant_cap.max(1),
         max_active: config.max_active.max(1),
         probe_ms: config.probe_ms.max(10),
     });
 
-    let probe_state = state.clone();
+    let route_state = state.clone();
+    let http = crate::http::serve(listener, max_connections, move |request, shutdown| {
+        route(request, &route_state, shutdown)
+    })?;
+    let shutdown = http.shutdown_switch();
     let probe_thread = std::thread::Builder::new()
         .name("lt-coord-probe".to_string())
-        .spawn(move || probe_loop(&probe_state))?;
-
-    let accept_state = state.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name("lt-coord-accept".to_string())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if accept_state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let conn_state = accept_state.clone();
-                let _ = std::thread::Builder::new()
-                    .name("lt-coord-conn".to_string())
-                    .spawn(move || handle_connection(stream, &conn_state));
-            }
-        })?;
-
+        .spawn(move || probe_loop(&state, &shutdown))?;
     Ok(CoordinatorHandle {
-        addr,
-        state,
-        accept_thread: Some(accept_thread),
+        http,
         probe_thread: Some(probe_thread),
     })
 }
 
-/// Requests served per coordinator connection before close (mirrors the
-/// shard server's keep-alive bound).
-const KEEPALIVE_MAX: usize = 1024;
-
-fn handle_connection(mut stream: TcpStream, state: &CoordState) {
-    // Proxied long-polls can hold a request open for up to the shard-side
-    // wait cap; the idle timeout must exceed it.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
-    for served in 0..KEEPALIVE_MAX {
-        let request = match read_request(&mut stream) {
-            Ok(request) => request,
-            Err(err) => {
-                if served == 0 {
-                    let _ = Response::error(400, &format!("malformed request: {err}"))
-                        .write_to(&mut stream);
-                }
-                return;
-            }
-        };
-        let keep = request.wants_keep_alive() && served + 1 < KEEPALIVE_MAX;
-        let response = route(&request, state);
-        if response.write_connection(&mut stream, keep).is_err() || !keep {
-            return;
-        }
-    }
-}
-
-fn route(request: &Request, state: &CoordState) -> Response {
+fn route(request: &Request, state: &CoordState, shutdown: &Shutdown) -> Response {
     obs::counter("coord.http_requests", 1);
     let path = request.path.split('?').next().unwrap_or("");
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let method = request.method.as_str();
     match segments.as_slice() {
         ["sessions"] => match method {
-            "POST" => submit_session(request, state),
+            "POST" => submit_session(request, state, shutdown),
             "GET" => list_sessions(state),
             _ => method_not_allowed(method, path, "GET, POST"),
         },
@@ -338,8 +270,7 @@ fn route(request: &Request, state: &CoordState) -> Response {
         },
         ["shutdown"] => match method {
             "POST" => {
-                state.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(state.addr);
+                shutdown.request();
                 Response::json(200, &json!({ "shutting_down": true }))
             }
             _ => method_not_allowed(method, path, "POST"),
@@ -348,33 +279,17 @@ fn route(request: &Request, state: &CoordState) -> Response {
     }
 }
 
-fn method_not_allowed(method: &str, path: &str, allow: &'static str) -> Response {
-    Response::error(
-        405,
-        &format!("method {method} not allowed for {path} (allow: {allow})"),
-    )
-    .with_header("Allow", allow)
-}
-
 /// `POST /sessions` at the coordinator: global admission, id allocation,
 /// ring placement, then adoption on the owning shard.
-fn submit_session(request: &Request, state: &CoordState) -> Response {
-    if state.shutdown.load(Ordering::SeqCst) {
+fn submit_session(request: &Request, state: &CoordState, shutdown: &Shutdown) -> Response {
+    if shutdown.is_requested() {
         return Response::error(503, "coordinator is shutting down");
     }
-    let Some(body) = request.body_str() else {
-        return Response::error(400, "body is not UTF-8");
-    };
-    let doc = match lt_common::json::parse(if body.trim().is_empty() { "{}" } else { body }) {
+    let doc = match request.json_body() {
         Ok(doc) => doc,
-        Err(err) => return Response::error(400, &format!("invalid JSON: {err}")),
+        Err(response) => return response,
     };
-    let tenant = request
-        .header("x-tenant")
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .unwrap_or("default")
-        .to_string();
+    let tenant = request.tenant();
 
     // Global admission, under one ledger lock so racing submissions
     // cannot both slip under a quota.
@@ -593,8 +508,8 @@ fn metrics(state: &CoordState) -> Response {
 
 /// The probe loop: marks shards dead/alive from `/shard/healthz` and
 /// reconciles the admission ledger against live shards' session lists.
-fn probe_loop(state: &CoordState) {
-    while !state.shutdown.load(Ordering::SeqCst) {
+fn probe_loop(state: &CoordState, shutdown: &Shutdown) {
+    while !shutdown.is_requested() {
         for (index, shard) in state.shards.iter().enumerate() {
             let healthy = matches!(
                 request_with(shard.addr, "GET", "/shard/healthz", &[], None),
@@ -611,7 +526,7 @@ fn probe_loop(state: &CoordState) {
         reconcile_active(state);
         // Sleep in small steps so shutdown is prompt even with slow probes.
         let mut remaining = state.probe_ms;
-        while remaining > 0 && !state.shutdown.load(Ordering::SeqCst) {
+        while remaining > 0 && !shutdown.is_requested() {
             let step = remaining.min(50);
             std::thread::sleep(Duration::from_millis(step));
             remaining -= step;
@@ -683,7 +598,7 @@ mod tests {
             .collect();
         let mut config = CoordinatorConfig::new(specs);
         config.probe_ms = 50;
-        let coord = start_coordinator(config).unwrap();
+        let coord = start_coordinator(config, crate::http::DEFAULT_MAX_CONNECTIONS).unwrap();
         (shards, coord)
     }
 
@@ -787,7 +702,7 @@ mod tests {
         let mut config = CoordinatorConfig::new(shards_specs);
         config.tenant_cap = 1;
         config.probe_ms = 5_000; // no reconciliation during the test window
-        let capped = start_coordinator(config).unwrap();
+        let capped = start_coordinator(config, crate::http::DEFAULT_MAX_CONNECTIONS).unwrap();
         let body = r#"{"benchmark": "tpch", "num_configs": 2, "seed": 9420}"#;
         let (s1, _) = crate::http::request_with(
             capped.addr(),

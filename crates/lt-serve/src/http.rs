@@ -2,15 +2,22 @@
 //!
 //! The default is one request per connection (`Connection: close` on every
 //! response); clients that send `Connection: keep-alive` explicitly get the
-//! connection back for more requests, up to the server's per-connection cap
-//! and idle timeout ([`Connection`] is the persistent client). No chunked
-//! encoding — the serving protocol is small JSON documents delimited by
-//! `Content-Length` in both directions. Head and body sizes are bounded so
-//! a misbehaving peer cannot balloon memory.
+//! connection back for more requests, up to [`KEEPALIVE_MAX`] requests
+//! and a 30 s idle timeout ([`Connection`] is the persistent
+//! client). No chunked encoding — the serving protocol is small JSON
+//! documents delimited by `Content-Length` in both directions. Head and
+//! body sizes are bounded so a misbehaving peer cannot balloon memory.
+//!
+//! `serve` is the one accept loop: the shard server and the coordinator
+//! both hand it their router.
 
 use lt_common::json::Value;
+use lt_common::obs;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Upper bound on the request line + headers.
@@ -45,6 +52,28 @@ impl Request {
     /// The body as UTF-8, or `None` when it is not valid UTF-8.
     pub fn body_str(&self) -> Option<&str> {
         std::str::from_utf8(&self.body).ok()
+    }
+
+    /// The body parsed as JSON (a blank body reads as `{}`), or the 400
+    /// answering a body that is not UTF-8 JSON.
+    pub(crate) fn json_body(&self) -> Result<Value, Response> {
+        let Some(body) = self.body_str() else {
+            return Err(Response::error(400, "body is not UTF-8"));
+        };
+        let body = if body.trim().is_empty() { "{}" } else { body };
+        lt_common::json::parse(body)
+            .map_err(|err| Response::error(400, &format!("invalid JSON: {err}")))
+    }
+
+    /// The tenant named by the `X-Tenant` header, `"default"` when absent
+    /// or blank. Tenancy is declared, not authenticated — it models quota
+    /// accounting, not security.
+    pub(crate) fn tenant(&self) -> String {
+        self.header("x-tenant")
+            .map(str::trim)
+            .filter(|t| !t.is_empty())
+            .unwrap_or("default")
+            .to_string()
     }
 
     /// True when the client explicitly asked to reuse the connection.
@@ -207,6 +236,202 @@ pub fn status_text(status: u16) -> &'static str {
         503 => "Service Unavailable",
         _ => "Unknown",
     }
+}
+
+/// Requests served per connection before it is closed, even for clients
+/// asking `Connection: keep-alive`. Bounds how long one client can hold a
+/// connection thread.
+pub const KEEPALIVE_MAX: usize = 32;
+
+/// How long a connection may sit between requests (and how long one
+/// request may take to arrive) before its thread gives up; also the
+/// response write timeout.
+pub(crate) const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Default bound on concurrent connection threads.
+pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
+
+/// The stop switch of one [`serve`] loop, shared by its [`Server`] handle
+/// and every handler call.
+#[derive(Debug, Clone)]
+pub(crate) struct Shutdown {
+    flag: Arc<AtomicBool>,
+    addr: SocketAddr,
+}
+
+impl Shutdown {
+    /// True once a stop was requested.
+    pub(crate) fn is_requested(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Stops the accept loop. The loop blocks in `accept()`, so this pokes
+    /// it with a throwaway connection to make it observe the flag now
+    /// rather than on the next client.
+    pub(crate) fn request(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// A running [`serve`] loop. Dropping it stops and joins the accept loop.
+#[derive(Debug)]
+pub(crate) struct Server {
+    shutdown: Shutdown,
+    accept_thread: Option<JoinHandle<()>>,
+}
+
+impl Server {
+    /// The bound address (with the real port when 0 was requested).
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.shutdown.addr
+    }
+
+    /// The loop's stop switch.
+    pub(crate) fn shutdown_switch(&self) -> Shutdown {
+        self.shutdown.clone()
+    }
+
+    /// Blocks until the accept loop exits (after a [`Shutdown::request`]
+    /// from any thread). Idempotent.
+    pub(crate) fn wait(&mut self) {
+        if let Some(handle) = self.accept_thread.take() {
+            let _ = handle.join();
+        }
+    }
+
+    /// Stops accepting and joins the accept loop. Idempotent.
+    pub(crate) fn stop(&mut self) {
+        self.shutdown.request();
+        self.wait();
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Decrements the live-connection count when a connection thread exits,
+/// however it exits.
+struct ConnectionGuard(Arc<AtomicUsize>);
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Spawns the accept loop on `listener` and returns immediately. Each
+/// connection gets its own thread, which answers every request on it with
+/// `handler`. At most `max_connections` connection threads run at once;
+/// connections above the cap are answered 503 without spawning a thread.
+pub(crate) fn serve<H>(
+    listener: TcpListener,
+    max_connections: usize,
+    handler: H,
+) -> io::Result<Server>
+where
+    H: Fn(&Request, &Shutdown) -> Response + Send + Sync + 'static,
+{
+    let shutdown = Shutdown {
+        flag: Arc::new(AtomicBool::new(false)),
+        addr: listener.local_addr()?,
+    };
+    let max_connections = max_connections.max(1);
+    let connections = Arc::new(AtomicUsize::new(0));
+    let handler = Arc::new(handler);
+    let accept_shutdown = shutdown.clone();
+    let accept_thread = std::thread::Builder::new()
+        .name("lt-serve-accept".to_string())
+        .spawn(move || {
+            for stream in listener.incoming() {
+                if accept_shutdown.is_requested() {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                // Each connection holds a thread (up to the idle timeout),
+                // so cap them like tuning jobs.
+                if connections.fetch_add(1, Ordering::SeqCst) >= max_connections {
+                    connections.fetch_sub(1, Ordering::SeqCst);
+                    reject_connection(stream);
+                    continue;
+                }
+                // On spawn failure the unstarted closure is dropped and the
+                // moved guard decrements the count right there.
+                let guard = ConnectionGuard(connections.clone());
+                let handler = handler.clone();
+                let shutdown = accept_shutdown.clone();
+                let _ = std::thread::Builder::new()
+                    .name("lt-serve-conn".to_string())
+                    .spawn(move || {
+                        let _guard = guard;
+                        serve_connection(stream, |request| handler(request, &shutdown));
+                    });
+            }
+        })?;
+    Ok(Server {
+        shutdown,
+        accept_thread: Some(accept_thread),
+    })
+}
+
+/// Answers an over-cap connection with 503 from the accept thread.
+fn reject_connection(mut stream: TcpStream) {
+    obs::counter("serve.connections_rejected", 1);
+    // Drain whatever the client already sent (non-blocking, best effort):
+    // closing a socket with unread bytes resets the connection and would
+    // eat the 503.
+    let _ = stream.set_nonblocking(true);
+    let mut scratch = [0u8; 4096];
+    while matches!(stream.read(&mut scratch), Ok(n) if n > 0) {}
+    let _ = stream.set_nonblocking(false);
+    // Tiny fixed body: fits the socket buffer, so this cannot stall the
+    // accept loop for long.
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = Response::error(503, "too many connections, retry later").write_to(&mut stream);
+}
+
+/// The keep-alive loop of one connection. Close-by-default with opt-in
+/// reuse: a client sending `Connection: keep-alive` gets the connection
+/// back for more requests, up to [`KEEPALIVE_MAX`]; the read timeout
+/// doubles as the idle timeout between them.
+fn serve_connection(mut stream: TcpStream, handler: impl Fn(&Request) -> Response) {
+    let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IDLE_TIMEOUT));
+    for served in 0..KEEPALIVE_MAX {
+        let request = match read_request(&mut stream) {
+            Ok(request) => request,
+            Err(err) => {
+                // After at least one request, an error here is just the
+                // client being done (clean close or idle timeout) — end the
+                // connection silently rather than answering 400.
+                if served == 0 {
+                    let _ = Response::error(400, &format!("malformed request: {err}"))
+                        .write_to(&mut stream);
+                }
+                return;
+            }
+        };
+        if served > 0 {
+            obs::counter("serve.keepalive_reuse", 1);
+        }
+        let keep = request.wants_keep_alive() && served + 1 < KEEPALIVE_MAX;
+        let response = handler(&request);
+        if response.write_connection(&mut stream, keep).is_err() || !keep {
+            return;
+        }
+    }
+}
+
+/// 405 for a known path whose method set does not include `method`.
+pub(crate) fn method_not_allowed(method: &str, path: &str, allow: &'static str) -> Response {
+    Response::error(
+        405,
+        &format!("method {method} not allowed for {path} (allow: {allow})"),
+    )
+    .with_header("Allow", allow)
 }
 
 /// Blocking HTTP client for the load generator, tests and examples: opens

@@ -3,15 +3,16 @@
 //! The research pipeline in [`lambda_tune`] tunes one database per process
 //! invocation. This crate wraps it in a long-lived HTTP service:
 //!
-//! - [`http`] — a minimal, bounded HTTP/1.1 subset (one request per
-//!   connection, `Content-Length` bodies, JSON in and out);
+//! - [`http`] — a minimal, bounded HTTP/1.1 subset (close-by-default
+//!   connections with opt-in keep-alive, `Content-Length` bodies, JSON in
+//!   and out) and the one accept loop both daemon modes serve through;
 //! - [`session`] — request parsing/validation, the per-session state
 //!   machine (`Queued → Tuning → Done/Failed/Cancelled`) and the registry;
 //! - [`pool`] — a fixed-size worker pool behind a bounded, tenant-fair
 //!   (deficit-round-robin) queue; admission control (429), graceful drain
 //!   on shutdown, and a `catch_unwind` backstop so one poisoned request
 //!   cannot take down a worker thread;
-//! - [`server`] — the accept loop and routing;
+//! - [`server`] — shard routing, admission and WAL recovery;
 //! - [`load`] — the load generator behind the `lt-serve-load` binary;
 //! - [`ring`] — the consistent-hash ring placing sessions on shards;
 //! - [`coord`] — the coordinator: global admission, session routing over
@@ -41,3 +42,9 @@ pub use pool::{SubmitError, WorkerPool};
 pub use ring::HashRing;
 pub use server::{start, ServerConfig, ServerHandle};
 pub use session::{DriftStatus, ServingState, Session, SessionRegistry, SessionState, TuneRequest};
+
+/// Locks `m`, recovering the data from a poisoned mutex: the guarded state
+/// is plain data, and a panicking holder leaves it valid.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -90,10 +90,7 @@ impl JobQueue {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueInner> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock(&self.inner)
     }
 
     /// Non-blocking bounded push; the admission-control edge.
@@ -248,13 +245,7 @@ impl WorkerPool {
     /// queue and joins them. Idempotent.
     pub fn shutdown(&self) {
         self.queue.close();
-        let handles: Vec<JoinHandle<()>> = {
-            let mut guard = match self.workers.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.drain(..).collect()
-        };
+        let handles: Vec<JoinHandle<()>> = crate::lock(&self.workers).drain(..).collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -670,7 +661,7 @@ pub(crate) fn build_serving(
             options: request.options,
         },
         db,
-        recent: Vec::new(),
+        recent: VecDeque::new(),
     }
 }
 

@@ -24,7 +24,7 @@ use lt_common::{json, LtError, Result};
 use lt_dbms::{Dbms, Hardware, SimDb, TuningTarget};
 use lt_drift::{DriftConfig, DriftEvent, DriftMonitor, TuneMemory};
 use lt_workloads::Benchmark;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -112,9 +112,8 @@ pub struct TuneRequest {
     /// Re-enter tuning automatically when the drift monitor alarms on the
     /// query feed (`"auto_retune": true` in the request body).
     pub auto_retune: bool,
-    /// Drift-detector configuration for this session: `LT_DRIFT_*`
-    /// environment defaults, overridden per-field by the request's
-    /// optional `"drift"` object.
+    /// Drift-detector configuration for this session: the defaults,
+    /// overridden per-field by the request's optional `"drift"` object.
     pub drift: DriftConfig,
 }
 
@@ -300,12 +299,12 @@ impl TuneRequest {
 }
 
 /// Parses the optional `"drift"` object of a tuning request: per-field
-/// overrides on top of the `LT_DRIFT_*` environment defaults, so a client
+/// overrides on top of [`DriftConfig::default`], so a client
 /// can request a tighter (or looser) monitor for one session without
 /// touching process state.
 fn drift_config_from_json(doc: &Value) -> Result<DriftConfig> {
     let bad = |what: &str| LtError::Config(format!("bad request: {what}"));
-    let mut config = DriftConfig::from_env();
+    let mut config = DriftConfig::default();
     let overrides = match doc.get("drift") {
         None | Some(Value::Null) => return Ok(config),
         Some(v @ Value::Object(_)) => v,
@@ -445,16 +444,16 @@ pub struct ServingState {
     pub memory: TuneMemory,
     /// Most recent `(label, sql)` observed queries, oldest first, capped
     /// at [`RECENT_QUERY_CAP`].
-    pub recent: Vec<(String, String)>,
+    pub recent: VecDeque<(String, String)>,
 }
 
 impl ServingState {
     /// Appends an observed query, aging out the oldest past the cap.
     pub fn push_recent(&mut self, label: String, sql: String) {
-        self.recent.push((label, sql));
-        if self.recent.len() > RECENT_QUERY_CAP {
-            self.recent.remove(0);
+        if self.recent.len() >= RECENT_QUERY_CAP {
+            self.recent.pop_front();
         }
+        self.recent.push_back((label, sql));
     }
 
     /// Executes one validated feed batch on the serving database and runs
@@ -637,12 +636,7 @@ impl SessionHandle {
 
     /// Locks the session state.
     pub fn lock(&self) -> MutexGuard<'_, Session> {
-        // Sessions are plain data: a poisoned mutex only means a panicking
-        // thread held it, and the data stays valid.
-        match self.session.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock(&self.session)
     }
 
     /// Wakes long-poll waiters after a state transition. Callers invoke
@@ -741,18 +735,15 @@ impl SessionRegistry {
     /// Attaches a write-ahead session log: every handle created from now
     /// on carries it, so lifecycle transitions get recorded.
     pub fn attach_wal(&self, log: Arc<crate::wal::SessionLog>) {
-        *self.wal.lock().unwrap_or_else(|p| p.into_inner()) = Some(log);
+        *crate::lock(&self.wal) = Some(log);
     }
 
     fn current_wal(&self) -> Option<Arc<crate::wal::SessionLog>> {
-        self.wal.lock().unwrap_or_else(|p| p.into_inner()).clone()
+        crate::lock(&self.wal).clone()
     }
 
     fn map(&self) -> MutexGuard<'_, HashMap<u64, SessionHandle>> {
-        match self.sessions.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock(&self.sessions)
     }
 
     fn build_handle(&self, id: u64, request: TuneRequest, tenant: &str) -> SessionHandle {

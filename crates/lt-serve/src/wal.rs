@@ -790,7 +790,7 @@ impl SessionLog {
 
     fn write(&self, record: &SessionRecord, sync: bool) {
         let payload = record.payload();
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let mut g = crate::lock(&self.inner);
         let result = if sync {
             g.writer.append_sync(&payload)
         } else {
@@ -842,7 +842,7 @@ impl SessionLog {
 
     /// Flushes and fsyncs any batched records.
     pub fn sync(&self) {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let mut g = crate::lock(&self.inner);
         if let Err(err) = g.writer.sync() {
             obs::counter("wal.append_errors", 1);
             eprintln!("lt-serve: wal sync failed: {err}");

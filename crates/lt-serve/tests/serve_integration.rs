@@ -6,7 +6,7 @@
 //! into tuning results.
 
 use lt_common::json::{parse, Value};
-use lt_serve::http::{request, request_with, Connection};
+use lt_serve::http::{request, request_with, Connection, DEFAULT_MAX_CONNECTIONS, KEEPALIVE_MAX};
 use lt_serve::load::{run_matrix, LoadOptions};
 use lt_serve::{start, start_coordinator, CoordinatorConfig, ServerConfig, ShardSpec};
 use lt_synth::{predicate_templates, Phase};
@@ -244,7 +244,6 @@ fn keep_alive_carries_a_whole_session_on_one_connection() {
     let mut server = start(ServerConfig {
         workers: 1,
         queue_depth: 8,
-        keepalive_max: 64,
         ..ServerConfig::default()
     })
     .expect("bind loopback");
@@ -252,7 +251,8 @@ fn keep_alive_carries_a_whole_session_on_one_connection() {
     let mut conn = Connection::new(addr);
 
     // Submit, poll to done, fetch the config — every exchange over the
-    // same TCP connection.
+    // same TCP connection. Long-polls keep the exchange count far below
+    // the per-connection request cap.
     let (status, headers, response) = conn
         .call(
             "POST",
@@ -275,7 +275,7 @@ fn keep_alive_carries_a_whole_session_on_one_connection() {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let (status, _, response) = conn
-            .call("GET", &format!("/sessions/{id}"), &[], None)
+            .call("GET", &format!("/sessions/{id}?wait_ms=1000"), &[], None)
             .expect("poll over keep-alive");
         assert_eq!(status, 200);
         let state = parse(&response)
@@ -310,12 +310,13 @@ fn keep_alive_connection_survives_the_request_cap() {
     let mut server = start(ServerConfig {
         workers: 1,
         queue_depth: 8,
-        keepalive_max: 3, // force a server-side close every 3 requests
         ..ServerConfig::default()
     })
     .expect("bind loopback");
     let mut conn = Connection::new(server.addr());
-    for i in 0..10 {
+    // The server closes the connection after every KEEPALIVE_MAX requests;
+    // the client must ride through two such closes.
+    for i in 0..2 * KEEPALIVE_MAX + 1 {
         let (status, _, response) = conn
             .call("GET", "/metrics", &[], None)
             .unwrap_or_else(|e| panic!("call {i} failed: {e}"));
@@ -423,6 +424,51 @@ fn connection_cap_answers_503_and_recovers() {
         std::thread::sleep(Duration::from_millis(10));
     }
     server.shutdown();
+}
+
+/// The coordinator sits behind the same connection cap as a shard: over-cap
+/// connections get 503, and service resumes once the holder closes.
+#[test]
+fn coordinator_connection_cap_answers_503_and_recovers() {
+    let shard = start(ServerConfig {
+        workers: 1,
+        shard_id: Some(0),
+        ..ServerConfig::default()
+    })
+    .expect("bind shard");
+    let config = CoordinatorConfig::new(vec![ShardSpec {
+        id: 0,
+        addr: shard.addr(),
+    }]);
+    let mut coord = start_coordinator(config, 1).expect("bind coordinator");
+    let addr = coord.addr();
+
+    let held = std::net::TcpStream::connect(addr).expect("hold a connection");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match request(addr, "GET", "/healthz", None) {
+            Ok((503, body)) => {
+                assert!(body.contains("too many connections"), "{body}");
+                break;
+            }
+            Ok((200, _)) | Err(_) => {} // holder not counted yet, or write race
+            Ok((status, body)) => panic!("unexpected {status}: {body}"),
+        }
+        assert!(Instant::now() < deadline, "cap never produced a 503");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        if let Ok((200, body)) = request(addr, "GET", "/healthz", None) {
+            assert!(body.contains("coordinator"), "{body}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "connection slot never freed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    coord.shutdown();
 }
 
 /// Builds a `POST /sessions/<id>/queries` body from SQL strings.
@@ -694,7 +740,7 @@ fn spec_feed_synthesizes_server_side_and_proxies_through_the_coordinator() {
         addr: shard.addr(),
     }]);
     config.probe_ms = 50;
-    let mut coord = start_coordinator(config).expect("bind coordinator");
+    let mut coord = start_coordinator(config, DEFAULT_MAX_CONNECTIONS).expect("bind coordinator");
     let addr = coord.addr();
 
     let (status, doc) = post_session(
