@@ -74,14 +74,15 @@ gate_test() {
 }
 
 # Files every determinism run must reproduce byte-for-byte. The first
-# three honour LT_BENCH_THREADS; the smoke files assert that repeated
+# four honour LT_BENCH_THREADS; the smoke files assert that repeated
 # runs (whatever the ambient parallelism) are byte-identical.
-DETERMINISM_FILES="fig6.json table4.json fig4.json BENCH_drift.json \
+DETERMINISM_FILES="fig6.json fig7.json table4.json fig4.json BENCH_drift.json \
 BENCH_drift.smoke.json BENCH_fleet.smoke.json serve_load.smoke.json \
 BENCH_crash.smoke.json BENCH_synth.smoke.json"
 
 determinism_pass() {
     LT_BENCH_THREADS="$1" ./target/release/fig6 > /dev/null
+    LT_BENCH_THREADS="$1" ./target/release/fig7 > /dev/null
     LT_BENCH_THREADS="$1" ./target/release/table4 > /dev/null
     LT_BENCH_THREADS="$1" ./target/release/fig4 > /dev/null
     LT_BENCH_THREADS="$1" ./target/release/drift_bench > /dev/null

@@ -12,45 +12,20 @@
 //! * maximize `Σ V(p)·R_p`.
 
 use crate::snippets::Snippet;
-use lt_common::lru::{cap_from_env, LruMap};
-use lt_common::{obs, ColumnId, FxHasher, Result};
+use lt_common::{obs, ColumnId, Result};
 use lt_dbms::Catalog;
 use lt_ilp::{solve, Ilp, SolveOptions};
 use lt_llm::count_tokens;
 use lt_workloads::Obfuscator;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::Hasher;
-use std::sync::{Mutex, OnceLock};
 
-/// Default bound on the ILP memo; override with `LT_COMPRESS_MEMO_CAP`.
-const DEFAULT_MEMO_CAP: usize = 256;
-
-/// Process-wide memo for ILP compression results. The solve is by far the
-/// most expensive step of the tuning pipeline (seconds at realistic token
-/// budgets, vs microseconds for planning), and the benchmark matrix re-runs
-/// it with identical inputs: trials of the same scenario share snippets
-/// (estimated costs are seed-independent under default statistics), as do
-/// ablation variants that only change selector behaviour. Keyed by a
-/// fingerprint of everything `compress` reads — budget, snippet ids and
-/// values, and the rendered column names. Bounded LRU (`LT_COMPRESS_MEMO_CAP`
-/// entries, evictions counted as `compress.memo_evict`) so fleet-scale runs
-/// cannot grow it without limit. Disabled alongside the plan cache by
-/// `LT_PLAN_CACHE=0` so the cache-less baseline is measurable.
-fn compression_memo() -> Option<&'static Mutex<LruMap<u64, CompressedWorkload>>> {
-    static MEMO: OnceLock<Option<Mutex<LruMap<u64, CompressedWorkload>>>> = OnceLock::new();
-    MEMO.get_or_init(|| {
-        let enabled = !matches!(
-            std::env::var("LT_PLAN_CACHE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        );
-        enabled.then(|| {
-            Mutex::new(LruMap::new(cap_from_env(
-                "LT_COMPRESS_MEMO_CAP",
-                DEFAULT_MEMO_CAP,
-            )))
-        })
-    })
-    .as_ref()
+/// R variable of snippet `si` in direction `d` (0: left→right, 1: the
+/// reverse). The forward variable has the lower index, and the solver
+/// breaks ties toward lower indices, so when both directions are optimal
+/// the rendering keeps the normalized orientation (renaming columns cannot
+/// flip a line).
+fn r_var(si: usize, d: usize) -> usize {
+    si * 2 + d
 }
 
 /// The compressed workload description destined for the prompt.
@@ -118,27 +93,8 @@ impl<'a> Compressor<'a> {
         }
     }
 
-    /// Fingerprint of every input `compress` depends on: the budget, the
-    /// snippets (ids and value bits) and the rendered column names (which
-    /// fold in catalog naming and obfuscation).
-    fn compress_key(&self, snippets: &[Snippet], budget: usize) -> u64 {
-        let mut h = FxHasher::new();
-        h.write_u64(budget as u64);
-        h.write_u64(snippets.len() as u64);
-        for s in snippets {
-            h.write_u32(s.left.0);
-            h.write_u32(s.right.0);
-            h.write_u64(s.value.to_bits());
-            h.write(self.render_column(s.left).as_bytes());
-            h.write(self.render_column(s.right).as_bytes());
-        }
-        h.finish()
-    }
-
     /// Selects and renders the most valuable snippets within `budget`
-    /// tokens by solving the paper's ILP. Results are memoized process-wide
-    /// (see [`compression_memo`]); `compress` is a pure function of its
-    /// inputs, so the memo is invisible except for speed.
+    /// tokens by solving the paper's ILP.
     pub fn compress(&self, snippets: &[Snippet], budget: usize) -> Result<CompressedWorkload> {
         let total_value: f64 = snippets.iter().map(|s| s.value).sum();
         if snippets.is_empty() || budget == 0 {
@@ -150,104 +106,10 @@ impl<'a> Compressor<'a> {
                 optimal: true,
             });
         }
-        let key = self.compress_key(snippets, budget);
-        if let Some(memo) = compression_memo() {
-            if let Some(hit) = memo.lock().unwrap().get(&key) {
-                obs::counter("compress.memo_hit", 1);
-                return Ok(hit.clone());
-            }
-        }
         let _span = obs::span("tune.compress");
-        obs::counter("compress.memo_miss", 1);
-        let result = self.compress_uncached(snippets, budget, total_value)?;
-        if let Some(memo) = compression_memo() {
-            if memo.lock().unwrap().insert(key, result.clone()).is_some() {
-                obs::counter("compress.memo_evict", 1);
-            }
-        }
-        Ok(result)
-    }
+        let solution = solve(&self.model(snippets, budget)?, SolveOptions::default())?;
 
-    fn compress_uncached(
-        &self,
-        snippets: &[Snippet],
-        budget: usize,
-        total_value: f64,
-    ) -> Result<CompressedWorkload> {
-        // Collect distinct columns and their token costs. Every rendered
-        // element also costs separator punctuation (`:` or `,` plus
-        // spacing), folded into H.
-        let mut columns: Vec<ColumnId> = snippets.iter().flat_map(|s| [s.left, s.right]).collect();
-        columns.sort_unstable();
-        columns.dedup();
-        let col_index: HashMap<ColumnId, usize> =
-            columns.iter().enumerate().map(|(i, c)| (*c, i)).collect();
-        let token_cost: Vec<f64> = columns
-            .iter()
-            .map(|c| (count_tokens(&self.render_column(*c)) + 1) as f64)
-            .collect();
-
-        // Variable layout: R variables for both directions of each
-        // snippet, then L variables per column.
-        let n_r = snippets.len() * 2;
-        let n_l = columns.len();
-        let mut ilp = Ilp::new(n_r + n_l);
-        let l_var = |ci: usize| n_r + ci;
-        // R variable of snippet s in direction d (0: left→right, 1: rev).
-        let r_var = |si: usize, d: usize| si * 2 + d;
-
-        let mut budget_terms: Vec<(usize, f64)> = Vec::new();
-        for (si, s) in snippets.iter().enumerate() {
-            for d in 0..2 {
-                let (lhs, rhs) = if d == 0 {
-                    (s.left, s.right)
-                } else {
-                    (s.right, s.left)
-                };
-                let (lhs_i, rhs_i) = (col_index[&lhs], col_index[&rhs]);
-                let rv = r_var(si, d);
-                // An epsilon preference for the normalized direction makes
-                // the rendering canonical when both directions are optimal
-                // (so renaming columns cannot flip line orientation).
-                let bonus = if d == 0 {
-                    s.value.abs() * 1e-9 + 1e-12
-                } else {
-                    0.0
-                };
-                ilp.set_objective(rv, s.value.max(0.0) + bonus)?;
-                // R ≤ L(lhs)
-                ilp.add_implication(rv, l_var(lhs_i))?;
-                budget_terms.push((rv, token_cost[rhs_i]));
-            }
-            // Symmetric directions conflict.
-            ilp.add_conflict(r_var(si, 0), r_var(si, 1))?;
-        }
-        // L ≤ Σ R over this lhs (prune lines without members).
-        let mut per_lhs: BTreeMap<usize, Vec<(usize, f64)>> = BTreeMap::new();
-        for (si, s) in snippets.iter().enumerate() {
-            per_lhs
-                .entry(col_index[&s.left])
-                .or_default()
-                .push((r_var(si, 0), -1.0));
-            per_lhs
-                .entry(col_index[&s.right])
-                .or_default()
-                .push((r_var(si, 1), -1.0));
-        }
-        for (lhs_i, mut terms) in per_lhs {
-            terms.push((l_var(lhs_i), 1.0));
-            ilp.add_le(&terms, 0.0)?;
-        }
-        for (ci, cost) in token_cost.iter().enumerate() {
-            budget_terms.push((l_var(ci), *cost));
-        }
-        ilp.add_le(&budget_terms, budget as f64)?;
-
-        let solution = solve(&ilp, SolveOptions::default())?;
-
-        // Render: group selected R variables by left-hand side. Recompute
-        // the selected value from raw snippet values (the solver objective
-        // additionally carries the canonical-direction epsilons).
+        // Render: group selected R variables by left-hand side.
         let mut groups: BTreeMap<ColumnId, Vec<(ColumnId, f64)>> = BTreeMap::new();
         let mut selected_value = 0.0;
         for (si, s) in snippets.iter().enumerate() {
@@ -285,6 +147,70 @@ impl<'a> Compressor<'a> {
             total_value,
             optimal: solution.optimal,
         })
+    }
+
+    /// The paper's ILP over `snippets` under `budget` tokens.
+    fn model(&self, snippets: &[Snippet], budget: usize) -> Result<Ilp> {
+        // Collect distinct columns and their token costs. Every rendered
+        // element also costs separator punctuation (`:` or `,` plus
+        // spacing), folded into H.
+        let mut columns: Vec<ColumnId> = snippets.iter().flat_map(|s| [s.left, s.right]).collect();
+        columns.sort_unstable();
+        columns.dedup();
+        let col_index: HashMap<ColumnId, usize> =
+            columns.iter().enumerate().map(|(i, c)| (*c, i)).collect();
+        let token_cost: Vec<f64> = columns
+            .iter()
+            .map(|c| (count_tokens(&self.render_column(*c)) + 1) as f64)
+            .collect();
+
+        // Variable layout: R variables for both directions of each
+        // snippet (see [`r_var`]), then L variables per column.
+        let n_r = snippets.len() * 2;
+        let n_l = columns.len();
+        let mut ilp = Ilp::new(n_r + n_l);
+        let l_var = |ci: usize| n_r + ci;
+
+        let mut budget_terms: Vec<(usize, f64)> = Vec::new();
+        for (si, s) in snippets.iter().enumerate() {
+            for d in 0..2 {
+                let (lhs, rhs) = if d == 0 {
+                    (s.left, s.right)
+                } else {
+                    (s.right, s.left)
+                };
+                let (lhs_i, rhs_i) = (col_index[&lhs], col_index[&rhs]);
+                let rv = r_var(si, d);
+                ilp.set_objective(rv, s.value.max(0.0))?;
+                // R ≤ L(lhs)
+                ilp.add_implication(rv, l_var(lhs_i))?;
+                budget_terms.push((rv, token_cost[rhs_i]));
+            }
+            // Symmetric directions conflict.
+            ilp.add_conflict(r_var(si, 0), r_var(si, 1))?;
+        }
+        // L ≤ Σ R over this lhs (prune lines without members).
+        let mut per_lhs: BTreeMap<usize, Vec<(usize, f64)>> = BTreeMap::new();
+        for (si, s) in snippets.iter().enumerate() {
+            per_lhs
+                .entry(col_index[&s.left])
+                .or_default()
+                .push((r_var(si, 0), -1.0));
+            per_lhs
+                .entry(col_index[&s.right])
+                .or_default()
+                .push((r_var(si, 1), -1.0));
+        }
+        for (lhs_i, mut terms) in per_lhs {
+            terms.push((l_var(lhs_i), 1.0));
+            ilp.add_le(&terms, 0.0)?;
+        }
+        for (ci, cost) in token_cost.iter().enumerate() {
+            budget_terms.push((l_var(ci), *cost));
+        }
+        ilp.add_le(&budget_terms, budget as f64)?;
+
+        Ok(ilp)
     }
 
     /// Greedy baseline selection (density order), used by tests and the
@@ -341,11 +267,67 @@ mod tests {
     use lt_dbms::{Dbms, Hardware, SimDb};
     use lt_workloads::Benchmark;
 
-    fn tpch_snippets() -> (lt_workloads::Workload, Vec<Snippet>) {
-        let w = Benchmark::TpchSf1.load();
+    fn bench_snippets(benchmark: Benchmark) -> (lt_workloads::Workload, Vec<Snippet>) {
+        let w = benchmark.load();
         let db = SimDb::new(Dbms::Postgres, w.catalog.clone(), Hardware::p3_2xlarge(), 1);
         let s = crate::snippets::extract_snippets(&db, &w);
         (w, s)
+    }
+
+    fn tpch_snippets() -> (lt_workloads::Workload, Vec<Snippet>) {
+        bench_snippets(Benchmark::TpchSf1)
+    }
+
+    #[test]
+    fn sub_unit_snippets_keep_the_normalized_orientation() {
+        // A snippet worth far less than 1 next to a valuable one. Its
+        // reverse direction is cheaper to branch on first (the left column
+        // renders shorter), yet both directions are optimal under a loose
+        // budget, so the rendering must keep `left: right`.
+        let w = Benchmark::Job.load();
+        let col = |t: &str, c: &str| w.catalog.resolve_column(Some(t), c).unwrap();
+        let snippet = |a, b, value| {
+            let (left, right) = if a <= b { (a, b) } else { (b, a) };
+            Snippet { left, right, value }
+        };
+        let small = snippet(
+            col("link_type", "id"),
+            col("movie_link", "link_type_id"),
+            0.11,
+        );
+        let big = snippet(col("title", "id"), col("cast_info", "movie_id"), 5e5);
+        let c = Compressor::new(&w.catalog);
+        let expect = format!(
+            "{}: {}",
+            c.render_column(small.left),
+            c.render_column(small.right)
+        );
+        let out = c.compress(&[big, small], 8000).unwrap();
+        assert!(out.lines.contains(&expect), "{:?}", out.lines);
+        assert_eq!(out.selected_value, 5e5 + 0.11);
+    }
+
+    #[test]
+    fn bench_snippet_sets_solve_in_few_nodes() {
+        // Deterministic effort gate for the structure-aware bounds: the
+        // default budget never binds and must take a single dive; tight
+        // budgets stay within a few thousand nodes.
+        for benchmark in [Benchmark::TpchSf1, Benchmark::TpcdsSf1, Benchmark::Job] {
+            let (w, snippets) = bench_snippets(benchmark);
+            let c = Compressor::new(&w.catalog);
+            for budget in [40, 64, 120, 196, 250, 400, 800, 1600, 3200, 8000] {
+                let model = c.model(&snippets, budget).unwrap();
+                let solution = solve(&model, SolveOptions::default()).unwrap();
+                let cap = if budget == 8000 { 100 } else { 5_000 };
+                assert!(solution.optimal);
+                assert!(
+                    solution.nodes <= cap,
+                    "{} at budget {budget}: {} nodes",
+                    benchmark.name(),
+                    solution.nodes
+                );
+            }
+        }
     }
 
     #[test]

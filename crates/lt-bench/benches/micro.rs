@@ -37,6 +37,7 @@ fn bench(name: &str, warmup: usize, iters: usize, mut f: impl FnMut()) {
 }
 
 fn bench_ilp_compression() {
+    use lt_common::obs;
     let workload = Benchmark::Job.load();
     let db = SimDb::new(
         Dbms::Postgres,
@@ -46,8 +47,20 @@ fn bench_ilp_compression() {
     );
     let snippets = extract_snippets(&db, &workload);
     let compressor = Compressor::new(&workload.catalog);
-    for budget in [100usize, 300, 800] {
-        bench(&format!("ilp_compression_job/{budget}"), 2, 10, || {
+    // Every call solves: 8000 (the default budget) never binds on JOB.
+    for budget in [100usize, 300, 800, 8000] {
+        obs::set_enabled(true);
+        obs::reset();
+        compressor.compress(&snippets, budget).unwrap();
+        let nodes = obs::snapshot()
+            .counters
+            .iter()
+            .find(|(name, _)| *name == "ilp.nodes")
+            .map_or(0, |&(_, n)| n);
+        obs::reset();
+        obs::set_enabled(false);
+        let name = format!("ilp_compression_job/{budget} ({nodes} nodes)");
+        bench(&name, 2, 10, || {
             black_box(compressor.compress(black_box(&snippets), budget).unwrap());
         });
     }

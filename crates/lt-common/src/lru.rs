@@ -1,6 +1,5 @@
 //! A small bounded LRU map used by every process-wide cache in the
-//! workspace (plan caches, the ILP compression memo, the fleet tuning
-//! cache, the LLM sample cache).
+//! workspace (plan caches, the fleet tuning cache, the LLM sample cache).
 //!
 //! Under fleet load the original unbounded memos grow without limit; the
 //! caches now share this one implementation so each can be capped with an
